@@ -101,8 +101,9 @@ type Result struct {
 	// Ops, Accesses and Kernels count what the trace contained.
 	Ops, Accesses, Kernels int
 
-	// Mem is the reconstructed allocation map (no data), used to resolve
-	// record addresses to allocation names exactly as replay does.
+	// Mem is the reconstructed allocation map (no data: its words are
+	// never allocated), used to resolve record addresses to allocation
+	// names exactly as replay does.
 	Mem *mem.Memory
 }
 
@@ -310,11 +311,8 @@ func (a *analysis) apply(i int, op *tracefile.Op) error {
 	case tracefile.OpAlloc:
 		// Reconstruct the allocation map; recorded base addresses must
 		// match the deterministic bump allocator (replay's drift check).
-		// The bounds guard mirrors mem.Alloc's alignment arithmetic
-		// (overflow-safe) so hostile traces error instead of panicking.
-		wantBase := (a.mm.Used() + 127) &^ 127
-		padded := (op.Bytes + mem.WordBytes - 1) &^ (mem.WordBytes - 1)
-		if padded < op.Bytes || wantBase > a.mm.Size() || padded > a.mm.Size()-wantBase {
+		// The bounds guard makes hostile traces error instead of panicking.
+		if !a.mm.Fits(op.Bytes) {
 			return fmt.Errorf("predict: allocation %q (%d bytes) exceeds the %d-byte arena",
 				op.Name, op.Bytes, a.mm.Size())
 		}

@@ -106,19 +106,20 @@ func RunThreeWay(repoRoot string) (*ThreeWayReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	runs, err := recordSuite()
-	if err != nil {
+	acc := newThreeWay()
+	if err := recordSuite(acc.add); err != nil {
 		return nil, err
 	}
-	return crossValidate(preds, runs)
+	return acc.report(preds), nil
 }
 
 // recordSuite executes every suite configuration the dynamic observation
 // pass uses (diffval.observe), with a trace recorder attached so the
-// predictive analysis sees the exact execution the detector judged.
-func recordSuite() ([]*threeWayRun, error) {
-	var runs []*threeWayRun
-
+// predictive analysis sees the exact execution the detector judged, and
+// hands each run to visit as soon as it is recorded. Nothing of a run is
+// kept after visit returns: the suite's decoded traces together would not
+// fit in memory.
+func recordSuite(visit func(*threeWayRun) error) error {
 	runOne := func(b scor.Benchmark, cfg config.Config, active []string) error {
 		d, err := gpu.New(cfg)
 		if err != nil {
@@ -157,24 +158,23 @@ func recordSuite() ([]*threeWayRun, error) {
 		if run.result, err = predict.Run(run.header, run.ops, predict.Options{}); err != nil {
 			return fmt.Errorf("%s (injections %v): predict: %w", b.Name(), active, err)
 		}
-		runs = append(runs, run)
-		return nil
+		return visit(run)
 	}
 
 	base := config.Default().WithDetector(config.ModeFull4B)
 	for _, b := range scor.Apps() {
 		if err := runOne(b, base, nil); err != nil {
-			return nil, err
+			return err
 		}
 		for _, inj := range b.Injections() {
 			if err := runOne(b, base, []string{inj}); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
 	for _, m := range micro.All() {
 		if err := runOne(m, base, nil); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	for _, m := range micro.Extensions() {
@@ -182,54 +182,75 @@ func recordSuite() ([]*threeWayRun, error) {
 		cfg.Detector.ITS = m.NeedsITS()
 		cfg.Detector.AcqRel = m.NeedsAcqRel()
 		if err := runOne(m, cfg, nil); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return runs, nil
+	return nil
 }
 
-func crossValidate(preds []racepred.Prediction, runs []*threeWayRun) (*ThreeWayReport, error) {
-	rep := &ThreeWayReport{Runs: len(runs)}
+// threeWay accumulates the gates' evidence run by run.
+type threeWay struct {
+	runs         int
+	observedSet  map[Tuple]bool // bench-qualified dynamic tuples
+	predictedSet map[Tuple]bool // bench-qualified predicted tuples
+	missedSet    map[Tuple]bool // observed, not predicted from own trace
+	discharged   map[Tuple]predict.Confirmation
+	hasDischarge map[Tuple]bool
+}
 
-	observedSet := map[Tuple]bool{}   // bench-qualified dynamic tuples
-	predictedSet := map[Tuple]bool{}  // bench-qualified predicted tuples
-	missedSet := map[Tuple]bool{}     // observed, not predicted from own trace
-	discharged := map[Tuple]predict.Confirmation{}
-	hasDischarge := map[Tuple]bool{}
+func newThreeWay() *threeWay {
+	return &threeWay{
+		observedSet:  map[Tuple]bool{},
+		predictedSet: map[Tuple]bool{},
+		missedSet:    map[Tuple]bool{},
+		discharged:   map[Tuple]predict.Confirmation{},
+		hasDischarge: map[Tuple]bool{},
+	}
+}
 
-	for _, run := range runs {
-		for t := range run.observed {
-			bt := Tuple{Bench: run.bench, Alloc: t.Alloc, Kind: t.Kind}
-			observedSet[bt] = true
-			// Recall gate: the tuple must be predicted from this very
-			// trace, not merely from some other configuration's.
-			if !run.result.Covers(t.Alloc, t.Kind) {
-				missedSet[bt] = true
-			}
-		}
-		// Confirmation gate: discharge each prediction of this run. A
-		// tuple may be predicted by several runs of one bench; the
-		// strongest discharge wins.
-		for _, p := range run.result.Predictions {
-			bt := Tuple{Bench: run.bench, Alloc: p.Alloc, Kind: p.Record.Kind}
-			predictedSet[bt] = true
-			if discharged[bt] == predict.ConfirmedObserved {
-				continue // already maximally discharged
-			}
-			c, err := predict.Confirm(run.header, run.ops, p, run.observed)
-			if err != nil {
-				return nil, fmt.Errorf("%s: confirm %s/%s: %w", run.bench, p.Alloc, p.Record.Kind, err)
-			}
-			if !hasDischarge[bt] || c > discharged[bt] {
-				discharged[bt] = c
-				hasDischarge[bt] = true
-			}
+// add applies the recall and confirmation gates to one run. The
+// strongest discharge per tuple does not depend on the order runs
+// arrive in.
+func (tw *threeWay) add(run *threeWayRun) error {
+	tw.runs++
+	for t := range run.observed {
+		bt := Tuple{Bench: run.bench, Alloc: t.Alloc, Kind: t.Kind}
+		tw.observedSet[bt] = true
+		// Recall gate: the tuple must be predicted from this very
+		// trace, not merely from some other configuration's.
+		if !run.result.Covers(t.Alloc, t.Kind) {
+			tw.missedSet[bt] = true
 		}
 	}
+	// Confirmation gate: discharge each prediction of this run. A
+	// tuple may be predicted by several runs of one bench; the
+	// strongest discharge wins.
+	for _, p := range run.result.Predictions {
+		bt := Tuple{Bench: run.bench, Alloc: p.Alloc, Kind: p.Record.Kind}
+		tw.predictedSet[bt] = true
+		if tw.discharged[bt] == predict.ConfirmedObserved {
+			continue // already maximally discharged
+		}
+		c, err := predict.Confirm(run.header, run.ops, p, run.observed)
+		if err != nil {
+			return fmt.Errorf("%s: confirm %s/%s: %w", run.bench, p.Alloc, p.Record.Kind, err)
+		}
+		if !tw.hasDischarge[bt] || c > tw.discharged[bt] {
+			tw.discharged[bt] = c
+			tw.hasDischarge[bt] = true
+		}
+	}
+	return nil
+}
 
-	rep.Observed = sortTuples(observedSet)
+// report assembles the gates' verdicts and the agreement matrix against
+// racepred's static predictions.
+func (tw *threeWay) report(preds []racepred.Prediction) *ThreeWayReport {
+	rep := &ThreeWayReport{Runs: tw.runs}
+	predictedSet, discharged := tw.predictedSet, tw.discharged
+	rep.Observed = sortTuples(tw.observedSet)
 	rep.Predicted = sortTuples(predictedSet)
-	rep.Missed = sortTuples(missedSet)
+	rep.Missed = sortTuples(tw.missedSet)
 
 	usedJust := map[string]bool{}
 	for _, bt := range rep.Predicted {
@@ -278,8 +299,8 @@ func crossValidate(preds []racepred.Prediction, runs []*threeWayRun) (*ThreeWayR
 		}
 	}
 
-	rep.Workloads = workloadStats(observedSet, predictedSet, preds)
-	return rep, nil
+	rep.Workloads = workloadStats(tw.observedSet, predictedSet, preds)
+	return rep
 }
 
 func sortTuples(set map[Tuple]bool) []Tuple {

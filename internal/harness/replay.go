@@ -9,6 +9,7 @@ import (
 	"scord/internal/config"
 	"scord/internal/detectors"
 	"scord/internal/gpu"
+	"scord/internal/mem"
 	"scord/internal/replay"
 	"scord/internal/scor"
 	"scord/internal/scor/micro"
@@ -89,13 +90,13 @@ func RecordMicros(opt Options, dir string) error {
 // replay target: the four comparison checkers plus real ScoRD under the
 // trace's recorded configuration.
 func replayTargets(h tracefile.Header) ([]replay.Target, error) {
-	var targets []replay.Target
-	for _, mod := range detectors.All() {
-		targets = append(targets, replay.NewChecker(mod))
-	}
-	sc, err := replay.NewScoRD(h.Config)
+	sc, err := replay.NewScoRD(h.Config) // validates the arena size too
 	if err != nil {
 		return nil, err
+	}
+	var targets []replay.Target
+	for _, mod := range detectors.All(h.Config.DeviceMemBytes / mem.WordBytes) {
+		targets = append(targets, replay.NewChecker(mod))
 	}
 	return append(targets, sc), nil
 }

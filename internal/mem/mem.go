@@ -24,9 +24,11 @@ type Allocation struct {
 
 // Memory is the device memory arena. The backing words hold the
 // authoritative globally-visible value of every location (conceptually the
-// L2 + DRAM contents; per-SM L1s keep possibly-stale copies on top).
+// L2 + DRAM contents; per-SM L1s keep possibly-stale copies on top). They
+// are allocated on the first data access, so a Memory used only as an
+// allocation map (trace replay and analysis) never pays for them.
 type Memory struct {
-	words  []uint32
+	words  []uint32 // nil until the first data access
 	size   uint64
 	next   Addr
 	allocs []Allocation
@@ -38,10 +40,7 @@ func New(size uint64) *Memory {
 	if size == 0 || size%WordBytes != 0 {
 		panic(fmt.Sprintf("mem: invalid arena size %d", size))
 	}
-	return &Memory{
-		words: make([]uint32, size/WordBytes),
-		size:  size,
-	}
+	return &Memory{size: size}
 }
 
 // Size returns the arena size in bytes.
@@ -50,14 +49,29 @@ func (m *Memory) Size() uint64 { return m.size }
 // Used returns the number of bytes handed out by Alloc so far.
 func (m *Memory) Used() uint64 { return uint64(m.next) }
 
-// Alloc reserves size bytes under the given name, aligned to 128 bytes so
-// distinct allocations never share a cache line. It panics if the arena is
-// exhausted — benchmark inputs are sized by the caller.
-func (m *Memory) Alloc(name string, size uint64) Addr {
+// place computes where Alloc would put size bytes: aligned to 128 bytes so
+// distinct allocations never share a cache line, padded to whole words.
+// ok is false if they do not fit; the arithmetic is overflow-safe.
+func (m *Memory) place(size uint64) (base, padded uint64, ok bool) {
 	const align = 128
-	base := (uint64(m.next) + align - 1) &^ (align - 1)
-	padded := (size + WordBytes - 1) &^ (WordBytes - 1)
-	if base+padded > m.size {
+	base = (uint64(m.next) + align - 1) &^ (align - 1)
+	padded = (size + WordBytes - 1) &^ (WordBytes - 1)
+	return base, padded, padded >= size && base <= m.size && padded <= m.size-base
+}
+
+// Fits reports whether Alloc of size bytes would succeed, so callers
+// decoding untrusted sizes can fail with an error instead of a panic.
+func (m *Memory) Fits(size uint64) bool {
+	_, _, ok := m.place(size)
+	return ok
+}
+
+// Alloc reserves size bytes under the given name (see place for the
+// layout). It panics if the arena is exhausted — benchmark inputs are
+// sized by the caller.
+func (m *Memory) Alloc(name string, size uint64) Addr {
+	base, padded, ok := m.place(size)
+	if !ok {
 		panic(fmt.Sprintf("mem: out of device memory allocating %q (%d bytes, %d used of %d)",
 			name, size, m.next, m.size))
 	}
@@ -75,9 +89,7 @@ func (m *Memory) AllocWords(name string, n int) Addr {
 func (m *Memory) Reset() {
 	m.next = 0
 	m.allocs = m.allocs[:0]
-	for i := range m.words {
-		m.words[i] = 0
-	}
+	clear(m.words)
 }
 
 // FindAlloc returns the allocation with the given name.
@@ -116,21 +128,28 @@ func (m *Memory) Describe(a Addr) string {
 // WordIndex converts a byte address to its word index, panicking on
 // out-of-range addresses (a simulator bug, not a program error).
 func (m *Memory) WordIndex(a Addr) int {
-	i := int(a / WordBytes)
-	if i < 0 || i >= len(m.words) {
+	if uint64(a) >= m.size {
 		panic(fmt.Sprintf("mem: address %#x outside arena of %d bytes", uint64(a), m.size))
 	}
-	return i
+	return int(a / WordBytes)
+}
+
+// data returns the backing words, allocating them on first use.
+func (m *Memory) data() []uint32 {
+	if m.words == nil {
+		m.words = make([]uint32, m.size/WordBytes)
+	}
+	return m.words
 }
 
 // Read returns the globally-visible value of the word at a.
-func (m *Memory) Read(a Addr) uint32 { return m.words[m.WordIndex(a)] }
+func (m *Memory) Read(a Addr) uint32 { return m.data()[m.WordIndex(a)] }
 
 // Write sets the globally-visible value of the word at a.
-func (m *Memory) Write(a Addr, v uint32) { m.words[m.WordIndex(a)] = v }
+func (m *Memory) Write(a Addr, v uint32) { m.data()[m.WordIndex(a)] = v }
 
 // Words returns the number of words in the arena.
-func (m *Memory) Words() int { return len(m.words) }
+func (m *Memory) Words() int { return int(m.size / WordBytes) }
 
 // HostWrite copies values into device memory starting at base, as a
 // cudaMemcpy(HostToDevice) would. It is only legal between kernels.

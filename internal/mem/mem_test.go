@@ -68,6 +68,47 @@ func TestOutOfMemoryPanics(t *testing.T) {
 	m.Alloc("big", 512)
 }
 
+// TestLayoutOnlyUntilDataAccess: an arena used only for allocation
+// bookkeeping never allocates its words; the first data access does, and
+// reads zero.
+func TestLayoutOnlyUntilDataAccess(t *testing.T) {
+	m := New(1 << 30)
+	a := m.Alloc("x", 1<<20)
+	if m.words != nil || m.Words() != 1<<28 {
+		t.Fatalf("words allocated before any data access (Words=%d)", m.Words())
+	}
+	if v := m.Read(a + 4); v != 0 || len(m.words) != 1<<28 {
+		t.Fatalf("first Read = %d over %d words", v, len(m.words))
+	}
+}
+
+// TestFitsMatchesAlloc: Fits predicts exactly when Alloc would panic,
+// including sizes whose padding or alignment overflows.
+func TestFitsMatchesAlloc(t *testing.T) {
+	for _, c := range []struct {
+		used, size uint64
+		want       bool
+	}{
+		{0, 256, true},
+		{0, 257, false},
+		{4, 128, true}, // base aligns to 128, leaving exactly 128 bytes
+		{4, 129, false},
+		{0, ^uint64(0), false},
+		{0, ^uint64(0) - 2, false},
+	} {
+		m := New(256)
+		if c.used > 0 {
+			m.Alloc("pre", c.used)
+		}
+		if got := m.Fits(c.size); got != c.want {
+			t.Errorf("used %d: Fits(%d) = %v, want %v", c.used, c.size, got, c.want)
+		}
+		if c.want {
+			m.Alloc("x", c.size)
+		}
+	}
+}
+
 // Property: distinct allocations never overlap and all stay in bounds.
 func TestAllocDisjointProperty(t *testing.T) {
 	f := func(sizes []uint8) bool {

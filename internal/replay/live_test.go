@@ -126,7 +126,7 @@ func TestLiveVsReplayCheckers(t *testing.T) {
 				t.Fatal(err)
 			}
 			d.SetOpSink(tw)
-			liveModels := detectors.All()
+			liveModels := detectors.All(d.Mem().Words())
 			for _, mod := range liveModels {
 				d.AddChecker(mod)
 			}
@@ -145,7 +145,7 @@ func TestLiveVsReplayCheckers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, mod := range detectors.All() {
+			for i, mod := range detectors.All(d.Mem().Words()) {
 				res, err := replay.RunOps(tr.Header(), ops, replay.NewChecker(mod))
 				if err != nil {
 					t.Fatalf("%s: %v", mod.Name(), err)

@@ -143,13 +143,34 @@ func (t checkerTarget) Records() []core.Record                    { return t.c.R
 // targetFactories maps -detector names to constructors. "scord" replays
 // the real detector under the trace's recorded configuration (or the
 // mode the caller overrode into cfg); the rest are the Table VIII
-// comparison models, which carry their own fixed configuration.
+// comparison models, which carry their own fixed configuration and take
+// only the arena size from cfg.
 var targetFactories = map[string]func(cfg config.Config) (Target, error){
 	"scord":     func(cfg config.Config) (Target, error) { return NewScoRD(cfg) },
 	"ldetector": func(config.Config) (Target, error) { return NewChecker(detectors.NewLDetector()), nil },
-	"haccrg":    func(config.Config) (Target, error) { return NewChecker(detectors.NewHAccRG()), nil },
-	"barracuda": func(config.Config) (Target, error) { return NewChecker(detectors.NewBarracuda()), nil },
-	"curd":      func(config.Config) (Target, error) { return NewChecker(detectors.NewCURD()), nil },
+	"haccrg":    sizedModel(detectors.NewHAccRG),
+	"barracuda": sizedModel(detectors.NewBarracuda),
+	"curd":      sizedModel(detectors.NewCURD),
+}
+
+// sizedModel adapts a comparison-model constructor that tracks one entry
+// per word of the arena cfg describes.
+func sizedModel(build func(words int) core.Checker) func(config.Config) (Target, error) {
+	return func(cfg config.Config) (Target, error) {
+		if err := checkArena(cfg); err != nil {
+			return nil, err
+		}
+		return NewChecker(build(cfg.DeviceMemBytes / mem.WordBytes)), nil
+	}
+}
+
+// checkArena rejects a device memory size no arena can have — a corrupt
+// or hostile trace header.
+func checkArena(cfg config.Config) error {
+	if cfg.DeviceMemBytes <= 0 || cfg.DeviceMemBytes%mem.WordBytes != 0 {
+		return fmt.Errorf("replay: device memory of %d bytes is not a positive word multiple", cfg.DeviceMemBytes)
+	}
+	return nil
 }
 
 // TargetNames lists the valid TargetByName names, sorted.
@@ -164,7 +185,8 @@ func TargetNames() []string {
 
 // TargetByName builds a fresh detector target. cfg is the configuration
 // to build ScoRD under (normally the trace header's, possibly with the
-// detector mode overridden); the comparison models ignore it.
+// detector mode overridden); the comparison models use only its arena
+// size.
 func TargetByName(name string, cfg config.Config) (Target, error) {
 	f, ok := targetFactories[name]
 	if !ok {
@@ -191,8 +213,9 @@ type Result struct {
 	// Ops, Accesses and Kernels count what the trace contained.
 	Ops, Accesses, Kernels int
 
-	// Mem is the reconstructed device memory map: no data, but the same
-	// named allocations at the same addresses, so race records resolve to
+	// Mem is the reconstructed device memory map: no data (replay never
+	// touches it, so its words are never allocated), but the same named
+	// allocations at the same addresses, so race records resolve to
 	// allocation names exactly as on the live device.
 	Mem *mem.Memory
 }
@@ -211,7 +234,10 @@ func (r *Result) DescribeRecord(rec core.Record) string {
 
 // Run streams every op of r through the target and returns the outcome.
 func Run(r *tracefile.Reader, t Target) (*Result, error) {
-	res := newResult(r.Header(), t)
+	res, err := newResult(r.Header(), t)
+	if err != nil {
+		return nil, err
+	}
 	for {
 		op, err := r.Next()
 		if err == io.EOF {
@@ -231,7 +257,10 @@ func Run(r *tracefile.Reader, t Target) (*Result, error) {
 // RunOps replays an in-memory op sequence (e.g. a perturbed one) under
 // the given header's configuration.
 func RunOps(h tracefile.Header, ops []tracefile.Op, t Target) (*Result, error) {
-	res := newResult(h, t)
+	res, err := newResult(h, t)
+	if err != nil {
+		return nil, err
+	}
 	for i := range ops {
 		if err := res.apply(t, &ops[i]); err != nil {
 			return nil, err
@@ -252,7 +281,10 @@ func RunOpsPermuted(h tracefile.Header, ops []tracefile.Op, perm []int, t Target
 	if len(perm) != len(ops) {
 		return nil, fmt.Errorf("replay: permutation has %d entries for %d ops", len(perm), len(ops))
 	}
-	res := newResult(h, t)
+	res, err := newResult(h, t)
+	if err != nil {
+		return nil, err
+	}
 	for _, idx := range perm {
 		if idx < 0 || idx >= len(ops) {
 			return nil, fmt.Errorf("replay: permutation entry %d out of range [0,%d)", idx, len(ops))
@@ -281,23 +313,32 @@ func ReadAll(r *tracefile.Reader) ([]tracefile.Op, error) {
 	}
 }
 
-func newResult(h tracefile.Header, t Target) *Result {
+func newResult(h tracefile.Header, t Target) (*Result, error) {
+	if err := checkArena(h.Config); err != nil {
+		return nil, err
+	}
 	return &Result{
 		Header:   h,
 		Detector: t.Name(),
 		Mem:      mem.New(uint64(h.Config.DeviceMemBytes)),
-	}
+	}, nil
 }
 
 // apply dispatches one op to the target, reconstructing allocations and
 // validating that the deterministic bump allocator lands where the
-// recording says it did. The op is passed by pointer and never retained:
-// the Op struct is large enough that copying it per dispatch dominates
-// the replay hot loop.
+// recording says it did. Accesses outside the arena and allocations that
+// overflow it are errors: they can only come from a corrupt or hostile
+// trace, and the detectors index their metadata by address. The op is
+// passed by pointer and never retained: the Op struct is large enough
+// that copying it per dispatch dominates the replay hot loop.
 func (res *Result) apply(t Target, op *tracefile.Op) error {
 	res.Ops++
 	switch op.Kind {
 	case tracefile.OpAccess:
+		if op.Access.Addr >= res.Mem.Size() {
+			return fmt.Errorf("replay: op %d accesses %#x outside the %d-byte device arena",
+				res.Ops-1, op.Access.Addr, res.Mem.Size())
+		}
 		res.Accesses++
 		t.OnAccess(op.Access, op.AtomicOp)
 	case tracefile.OpFence:
@@ -309,6 +350,10 @@ func (res *Result) apply(t Target, op *tracefile.Op) error {
 		// Markers for inspection and perturbation boundaries; the
 		// synchronization they imply arrives as explicit Fence/Kernel ops.
 	case tracefile.OpAlloc:
+		if !res.Mem.Fits(op.Bytes) {
+			return fmt.Errorf("replay: allocation %q (%d bytes) exceeds the %d-byte device arena",
+				op.Name, op.Bytes, res.Mem.Size())
+		}
 		base := res.Mem.Alloc(op.Name, op.Bytes)
 		if uint64(base) != op.Base {
 			return fmt.Errorf("replay: allocation %q reconstructed at %#x but recorded at %#x (trace/config drift)",

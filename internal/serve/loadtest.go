@@ -86,6 +86,9 @@ type LoadTestReport struct {
 func LoadTest(s *Server, baseURL string, traceID string, opt LoadTestOpts) (*LoadTestReport, error) {
 	opt = opt.withDefaults()
 	client := &http.Client{Timeout: 2 * time.Minute}
+	// Idle keep-alive connections left open would make the server's
+	// graceful shutdown wait out its drain timeout.
+	defer client.CloseIdleConnections()
 
 	body, err := json.Marshal(replayRequest{Trace: traceID, Detector: opt.Detector, NoCache: opt.NoCache})
 	if err != nil {

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"scord/internal/config"
+	"scord/internal/core"
 	"scord/internal/harness"
 	"scord/internal/replay"
 	"scord/internal/scor"
@@ -300,6 +301,46 @@ func TestReplayErrors(t *testing.T) {
 	resp, _ = postReplay(t, ts, "", replayRequest{Trace: id, Mode: "nonesuch"})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown mode status = %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestOutOfArenaTraceIsRejected: a trace whose access lies beyond its
+// header's device arena uploads fine (it is well-formed) but replaying it
+// under every detector fails with an error response instead of taking a
+// pool worker — and the server — down; valid traces keep replaying.
+func TestOutOfArenaTraceIsRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	cfg := config.Default().WithDetector(config.ModeFull4B)
+	var buf bytes.Buffer
+	tw, err := tracefile.NewWriter(&buf, tracefile.NewHeader("hostile", nil, cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tw.Alloc("a", 0, 1024)
+	tw.KernelStart("k", 1, 32, 0)
+	tw.Access(core.Access{Kind: core.KindStore, Addr: uint64(cfg.DeviceMemBytes) * 3 / 2}, core.AtomicOther, 4)
+	tw.KernelEnd("k", 1)
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	hostile := upload(t, ts, buf.Bytes())
+
+	resp, body := postReplay(t, ts, "", replayRequest{Trace: hostile, Detector: "all"})
+	if resp.StatusCode == http.StatusOK || !strings.Contains(string(body), "outside the") {
+		t.Fatalf("out-of-arena replay = %d %q, want an out-of-arena error", resp.StatusCode, body)
+	}
+
+	hz, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hz.Body.Close()
+	if hz.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after hostile replay = %d, want 200", hz.StatusCode)
+	}
+	valid := upload(t, ts, traceBytes(t))
+	if resp, body := postReplay(t, ts, "", replayRequest{Trace: valid}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("valid replay after hostile one = %d %q", resp.StatusCode, body)
 	}
 }
 
